@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use crate::metric::Metric;
 use crate::quant::{
     pq_rerank_overfetch, rerank_overfetch, PqCodebook, PqConfig, PqStore, PqTable, QuantStore,
-    OBS_PQ, OBS_QUANTIZED, OBS_RERANK, PQ_TRAIN_MIN,
+    OBS_PQ, OBS_QUANTIZED, OBS_RERANK, PQ_KC, PQ_TRAIN_MIN,
 };
 use crate::Neighbor;
 
@@ -1293,7 +1293,9 @@ impl<M: Metric> Hnsw<M> {
     /// Errors describe the first structural problem found (bad magic,
     /// truncated buffer, out-of-range id, shape mismatch); the caller
     /// (`pas-store`) guards the bytes with a CRC, so an error here means
-    /// the snapshot file lied about its own integrity.
+    /// the snapshot file lied about its own integrity. Every length field
+    /// is checked against the bytes left before anything is allocated or
+    /// taken from it, so hostile bytes yield `Err`, never an abort.
     pub fn load(bytes: &[u8], metric: M) -> Result<Self, String> {
         let mut r = wire::Reader::new(bytes);
         if r.take(DUMP_MAGIC.len())? != DUMP_MAGIC {
@@ -1304,11 +1306,16 @@ impl<M: Metric> Hnsw<M> {
         if config.m < 2 || config.ef_construction == 0 {
             return Err("dump config out of range".into());
         }
-        let dim = r.u64()? as usize;
+        let dim = r.u64()?;
         let n = r.u64()? as usize;
         if n > bytes.len() {
             return Err("dump node count exceeds buffer".into());
         }
+        // Vector lengths travel as u32, so no stored vector can be wider.
+        if dim > u64::from(u32::MAX) {
+            return Err("dump dimension out of range".into());
+        }
+        let dim = dim as usize;
         let entry = match r.u64()? {
             u64::MAX => None,
             e if (e as usize) < n => Some(e as usize),
@@ -1326,12 +1333,17 @@ impl<M: Metric> Hnsw<M> {
         if dead.iter().filter(|&&d| !d).count() != live {
             return Err("dump live count mismatch".into());
         }
+        // A live vector keeps its `dim` floats, so one must still fit.
+        if live > 0 {
+            r.check_len(dim, 4, "dump dimension")?;
+        }
         let mut vectors = Vec::with_capacity(n);
         for id in 0..n {
             let len = r.u32()? as usize;
             if len != 0 && len != dim {
                 return Err(format!("dump vector {id} has wrong dimension"));
             }
+            r.check_len(len, 4, "dump vector")?;
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
                 v.push(r.f32()?);
@@ -1344,9 +1356,11 @@ impl<M: Metric> Hnsw<M> {
             if layers == 0 {
                 return Err("dump node has no layers".into());
             }
+            r.check_len(layers, 4, "dump layer count")?;
             let mut neighbors = Vec::with_capacity(layers);
             for _ in 0..layers {
                 let cnt = r.u32()? as usize;
+                r.check_len(cnt, 4, "dump neighbor count")?;
                 let mut layer = Vec::with_capacity(cnt);
                 for _ in 0..cnt {
                     let peer = r.u32()? as usize;
@@ -1369,7 +1383,9 @@ impl<M: Metric> Hnsw<M> {
                 if rows != n {
                     return Err("dump int8 row count mismatch".into());
                 }
-                let codes: Vec<i8> = r.take(rows * qdim)?.iter().map(|&b| b as i8).collect();
+                let code_len = rows.checked_mul(qdim).ok_or("dump int8 shape overflow")?;
+                let codes: Vec<i8> = r.take(code_len)?.iter().map(|&b| b as i8).collect();
+                r.check_len(rows, 4, "dump int8 scales")?;
                 let mut scales = Vec::with_capacity(rows);
                 for _ in 0..rows {
                     scales.push(r.f32()?);
@@ -1394,6 +1410,10 @@ impl<M: Metric> Hnsw<M> {
                         if cdim != m.checked_mul(sub).ok_or("dump codebook overflow")? {
                             return Err("dump codebook shape mismatch".into());
                         }
+                        if kc > PQ_KC || Some(clen) != cdim.checked_mul(PQ_KC) {
+                            return Err("dump codebook panel shape mismatch".into());
+                        }
+                        r.check_len(clen, 4, "dump codebook")?;
                         let mut centroids = Vec::with_capacity(clen);
                         for _ in 0..clen {
                             centroids.push(r.f32()?);
@@ -1405,6 +1425,10 @@ impl<M: Metric> Hnsw<M> {
                 let codes = r.take(clen)?.to_vec();
                 if rows != 0 && rows != n {
                     return Err("dump PQ row count mismatch".into());
+                }
+                let m = codebook.as_ref().map_or(0, PqCodebook::m);
+                if Some(clen) != rows.checked_mul(m) {
+                    return Err("dump PQ code shape mismatch".into());
                 }
                 pq = Some(PqStore::from_parts(cfg, codebook, codes, rows));
             }
@@ -1496,6 +1520,15 @@ mod wire {
 
         pub fn is_empty(&self) -> bool {
             self.pos == self.buf.len()
+        }
+
+        /// Checks that `count` items of `size` bytes each fit in the bytes
+        /// left, before the caller sizes an allocation by `count`.
+        pub fn check_len(&self, count: usize, size: usize, what: &str) -> Result<(), String> {
+            match count.checked_mul(size) {
+                Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(()),
+                _ => Err(format!("{what} length exceeds the remaining bytes")),
+            }
         }
     }
 }
@@ -2082,5 +2115,54 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Hnsw::<CosineDistance>::load(&trailing, CosineDistance).is_err());
+    }
+
+    #[test]
+    fn load_rejects_hostile_length_fields() {
+        let (idx, vecs) = cosine_index(20, 8, 89);
+        let bytes = idx.dump();
+        let n = idx.len();
+        // Header: magic, then m, ef, seed, dim, n, entry, live as u64s;
+        // then n norms (f32), n dead flags (u8), n length-prefixed vectors.
+        let header = DUMP_MAGIC.len() + 7 * 8;
+        let vectors: usize = vecs.iter().map(|v| 4 + 4 * v.len()).sum();
+        let node0_layers = header + 4 * n + n + vectors;
+        let set_u32 = |at: usize, v: u32| {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        let set_u64 = |at: usize, v: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        // Node 0's layer count at u32::MAX once aborted on a ~100 GB
+        // allocation; it must be a plain error.
+        match Hnsw::load(&set_u32(node0_layers, u32::MAX), CosineDistance) {
+            Err(err) => assert!(err.contains("layer count"), "{err}"),
+            Ok(_) => panic!("a u32::MAX layer count loaded"),
+        }
+        // Node 0's first neighbor count, the dimension and vector 0's length.
+        assert!(Hnsw::load(&set_u32(node0_layers + 4, u32::MAX), CosineDistance).is_err());
+        assert!(Hnsw::load(&set_u64(DUMP_MAGIC.len() + 24, u64::MAX), CosineDistance).is_err());
+        assert!(Hnsw::load(&set_u64(DUMP_MAGIC.len() + 24, 1 << 31), CosineDistance).is_err());
+        let vector0 = header + 4 * n + n;
+        assert!(Hnsw::load(&set_u32(vector0, u32::MAX), CosineDistance).is_err());
+        // The untouched dump still loads.
+        assert!(Hnsw::load(&bytes, CosineDistance).is_ok());
+    }
+
+    #[test]
+    fn load_rejects_hostile_quantized_shapes() {
+        let (mut idx, _) = cosine_index(20, 8, 97);
+        idx.set_quantization(true);
+        let mut bytes = idx.dump();
+        // The int8 tier's trailer is [tag, qdim u64, rows u64, codes, scales].
+        let tag = bytes.len() - 20 * 8 - 20 * 4 - 17;
+        assert_eq!(bytes[tag], 1);
+        // 20 rows × (8 + 2^62) wraps to exactly the 160 code bytes present.
+        bytes[tag + 1..tag + 9].copy_from_slice(&(8 + (1u64 << 62)).to_le_bytes());
+        assert!(Hnsw::load(&bytes, CosineDistance).is_err());
     }
 }

@@ -166,7 +166,7 @@ pub fn pq_rerank_overfetch(k: usize) -> usize {
 }
 
 /// Centroid count per subspace — one byte of code addresses all of them.
-const PQ_KC: usize = 256;
+pub(crate) const PQ_KC: usize = 256;
 
 /// Fixed-point bias added to every ADC table entry so the stored `u32` slots
 /// are non-negative. Subtracted back out (times `m`) when decoding a row sum.

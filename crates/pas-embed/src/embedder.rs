@@ -6,7 +6,7 @@
 //! property, cosine similarity in the projected space approximates cosine
 //! similarity of the sparse TF bags — which is what the HNSW dedup consumes.
 
-use crate::features::{feature_bag, FeatureBag};
+use crate::features::{with_feature_entries, FeatureBag};
 use crate::vector::normalize_in_place;
 
 /// Anything that maps text to a fixed-dimension unit vector.
@@ -37,13 +37,42 @@ impl Default for NgramEmbedder {
     }
 }
 
+const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 output for an already-advanced `state`.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+fn splitmix64_mix(state: u64) -> u64 {
+    let mut z = state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Slots per sign lane: one byte of a sign word.
+const LANE: usize = 8;
+/// Slots per sign word.
+const WORD_SLOTS: usize = 64;
+
+/// `SIGN_MASKS[b][j]` is what to XOR into `w.to_bits()` for slot `j` of a
+/// lane whose sign byte is `b`: 0 keeps `+w` (bit set), the f32 sign bit
+/// turns it into `-w` (bit clear). Negation is exactly a sign-bit flip, so
+/// the XOR gives `if bit { w } else { -w }` without a branch.
+static SIGN_MASKS: [[u32; LANE]; 256] = sign_masks();
+
+const fn sign_masks() -> [[u32; LANE]; 256] {
+    let mut table = [[0u32; LANE]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut j = 0;
+        while j < LANE {
+            if (byte >> j) & 1 == 0 {
+                table[byte][j] = 0x8000_0000;
+            }
+            j += 1;
+        }
+        byte += 1;
+    }
+    table
 }
 
 impl NgramEmbedder {
@@ -57,23 +86,33 @@ impl NgramEmbedder {
 
     /// Projects an explicit feature bag (used when the caller already has
     /// IDF-reweighted features).
+    ///
+    /// Feature `(h, w)` owns the splitmix64 stream seeded at `h ^ seed`;
+    /// word `c` of that stream holds the signs of slots `64c..64c + 64`,
+    /// bit `j` giving slot `64c + j` the value `+w` (set) or `-w` (clear).
+    /// Slot `i` is `0.0` plus those values added in bag order, then the
+    /// vector is L2-normalized. That per-slot summation order is the
+    /// bit-identity contract (DESIGN.md §6): the loop below walks one
+    /// 64-slot block at a time, drawing each feature's word `c` directly,
+    /// and adds whole 8-slot lanes, but every slot still sees the same
+    /// additions in the same order.
     pub fn project(&self, entries: &[(u64, f32)]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.dim];
-        for &(h, w) in entries {
-            let mut state = h ^ self.seed;
-            // Consume 64 sign bits at a time.
-            let mut bits = 0u64;
-            let mut remaining = 0u32;
-            for slot in out.iter_mut() {
-                if remaining == 0 {
-                    bits = splitmix64(&mut state);
-                    remaining = 64;
+        let mut base = SPLITMIX_GAMMA;
+        for block in out.chunks_mut(WORD_SLOTS) {
+            let mut acc = [0.0f32; WORD_SLOTS];
+            for &(h, w) in entries {
+                let bits = splitmix64_mix((h ^ self.seed).wrapping_add(base));
+                let w = w.to_bits();
+                for (lane, slots) in acc.chunks_exact_mut(LANE).enumerate() {
+                    let masks = &SIGN_MASKS[(bits >> (lane * LANE)) as u8 as usize];
+                    for (slot, &mask) in slots.iter_mut().zip(masks) {
+                        *slot += f32::from_bits(w ^ mask);
+                    }
                 }
-                let sign = if bits & 1 == 1 { w } else { -w };
-                *slot += sign;
-                bits >>= 1;
-                remaining -= 1;
             }
+            block.copy_from_slice(&acc[..block.len()]);
+            base = base.wrapping_add(SPLITMIX_GAMMA);
         }
         normalize_in_place(&mut out);
         out
@@ -91,7 +130,7 @@ impl Embedder for NgramEmbedder {
     }
 
     fn embed(&self, text: &str) -> Vec<f32> {
-        self.embed_bag(&feature_bag(text))
+        with_feature_entries(text, |entries| self.project(entries))
     }
 
     /// Parallel batch embedding. Each text embeds independently of every

@@ -6,9 +6,10 @@
 //! discriminative); character grams provide robustness to small edits and
 //! typos, which is what makes near-duplicates land close together.
 
-use pas_text::hash::{fx_combine, fx_hash_str};
-use pas_text::normalize::normalize_for_dedup;
-use pas_text::{char_ngrams, words};
+use std::cell::RefCell;
+
+use pas_text::hash::{fx_combine, fx_hash_bytes, fx_hash_str};
+use pas_text::{for_each_word, normalize_for_dedup_into};
 
 /// Namespace tags keep word features and char-gram features from colliding.
 const NS_WORD: u64 = 0x57_4f_52_44; // "WORD"
@@ -45,24 +46,63 @@ impl FeatureBag {
 
 /// Extracts the hashed feature bag of `text`.
 pub fn feature_bag(text: &str) -> FeatureBag {
-    let canonical = normalize_for_dedup(text);
-    let mut raw: Vec<(u64, f32)> = Vec::new();
-    for w in words(&canonical) {
-        raw.push((fx_combine(NS_WORD, fx_hash_str(&w)), WORD_WEIGHT));
-    }
-    for g in char_ngrams(&canonical, 3) {
-        raw.push((fx_combine(NS_CHAR, fx_hash_str(&g)), CHAR_WEIGHT));
-    }
-    raw.sort_unstable_by_key(|&(h, _)| h);
-    // Aggregate duplicate features.
-    let mut entries: Vec<(u64, f32)> = Vec::with_capacity(raw.len());
-    for (h, w) in raw {
-        match entries.last_mut() {
-            Some((lh, lw)) if *lh == h => *lw += w,
-            _ => entries.push((h, w)),
+    with_feature_entries(text, |entries| FeatureBag { entries: entries.to_vec() })
+}
+
+/// Per-thread buffers reused by every [`with_feature_entries`] call.
+#[derive(Default)]
+struct Scratch {
+    canonical: String,
+    /// Byte offset of every char of `canonical`, plus its length.
+    offsets: Vec<usize>,
+    raw: Vec<(u64, f32)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Builds the entries of `feature_bag(text)` in per-thread scratch buffers
+/// and hands them to `f`, so a caller that only projects the bag never
+/// allocates one.
+///
+/// Features, in push order: one per word of the canonical text, then one
+/// per char trigram of it (the whole text when it has 1–3 chars). A
+/// trigram is hashed as the byte slice between char-boundary offsets, which
+/// is the same UTF-8 its collected `String` would hold.
+pub(crate) fn with_feature_entries<R>(text: &str, f: impl FnOnce(&[(u64, f32)]) -> R) -> R {
+    SCRATCH.with(|scratch| {
+        let Scratch { canonical, offsets, raw } = &mut *scratch.borrow_mut();
+        normalize_for_dedup_into(text, canonical);
+        raw.clear();
+        for_each_word(canonical, |w| raw.push((fx_combine(NS_WORD, fx_hash_str(w)), WORD_WEIGHT)));
+        offsets.clear();
+        offsets.extend(canonical.char_indices().map(|(i, _)| i));
+        offsets.push(canonical.len());
+        let chars = offsets.len() - 1;
+        if (1..=3).contains(&chars) {
+            raw.push((fx_combine(NS_CHAR, fx_hash_str(canonical)), CHAR_WEIGHT));
+        } else {
+            let bytes = canonical.as_bytes();
+            for w in offsets.windows(4) {
+                raw.push((fx_combine(NS_CHAR, fx_hash_bytes(&bytes[w[0]..w[3]])), CHAR_WEIGHT));
+            }
         }
-    }
-    FeatureBag { entries }
+        raw.sort_unstable_by_key(|&(h, _)| h);
+        // Aggregate duplicate features in place, summing in sorted order.
+        let mut kept = 0;
+        for i in 0..raw.len() {
+            let (h, w) = raw[i];
+            if kept > 0 && raw[kept - 1].0 == h {
+                raw[kept - 1].1 += w;
+            } else {
+                raw[kept] = (h, w);
+                kept += 1;
+            }
+        }
+        raw.truncate(kept);
+        f(raw)
+    })
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 pub mod cache;
 pub mod embedder;
 pub mod features;
+#[cfg(test)]
+mod reference;
 pub mod tfidf;
 pub mod vector;
 

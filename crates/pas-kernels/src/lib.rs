@@ -442,60 +442,6 @@ pub fn lut_gather_rows(lut: &[u32], codes: &[u8], rows: &[usize], out: &mut [u32
     striped::lut_gather_rows(lut, codes, rows, out)
 }
 
-/// 4-bit ADC single-row form: `codes[s]` holds one nibble value per byte
-/// (high nibble bits are ignored) and `lut` holds `codes.len()` tables of
-/// 16 `u8` entries. A single row has no lanes to amortize a shuffle over,
-/// so every backend shares the scalar walk — the SIMD win lives in
-/// [`lut_gather4_block`].
-///
-/// # Panics
-/// Panics when `lut.len() != codes.len() * 16`.
-pub fn lut_gather4(lut: &[u8], codes: &[u8]) -> u32 {
-    assert_eq!(
-        lut.len(),
-        codes.len() * 16,
-        "lut_gather4: lut length {} does not match {} subspaces of 16",
-        lut.len(),
-        codes.len()
-    );
-    striped::lut_gather4(lut, codes)
-}
-
-/// Block form of the 4-bit ADC over a **transposed** (subspace-major)
-/// nibble panel: `codes_t[s·rows + r]` is row `r`'s code in subspace `s`,
-/// one nibble value per byte (high bits ignored). The transposed layout is
-/// what lets AVX2 run `pshufb`-style 16-way nibble gathers: each
-/// subspace's 16-entry table broadcasts to both 128-bit lanes and one
-/// shuffle looks up 32 rows' codes at once. Partial sums ride exact
-/// `u16`/`u32` integer adds, so every backend agrees bit-for-bit (SSE2
-/// lacks `pshufb`, so it shares the scalar loop).
-///
-/// # Panics
-/// Panics when the buffer shapes disagree or there are more than 256
-/// subspaces (the `u16` partials are exact only up to 256 entries of 255).
-pub fn lut_gather4_block(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
-    assert_eq!(
-        lut.len() % 16,
-        0,
-        "lut_gather4_block: lut length {} is not a multiple of 16",
-        lut.len()
-    );
-    let m = lut.len() / 16;
-    assert!(m <= 256, "lut_gather4_block: {m} subspaces overflow the u16 partial sums");
-    assert_eq!(
-        codes_t.len(),
-        m * out.len(),
-        "lut_gather4_block: transposed panel length {} does not match {} rows of {m}",
-        codes_t.len(),
-        out.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend() == Backend::Avx2 {
-        return unsafe { x86::lut_gather4_block_avx2(lut, codes_t, out) };
-    }
-    striped::lut_gather4_block(lut, codes_t, out)
-}
-
 /// `y[i] += alpha * x[i]`. Element-wise — no reduction, so vectorization is
 /// purely a speed concern and the result matches the naive loop bit-for-bit.
 ///
@@ -727,31 +673,6 @@ pub mod striped {
         assert_eq!(rows.len(), out.len(), "lut_gather_rows: rows/outputs mismatch");
         for (&r, o) in rows.iter().zip(out) {
             *o = lut_gather(lut, &codes[r * m..(r + 1) * m]);
-        }
-    }
-
-    /// Scalar 4-bit ADC table walk. See [`super::lut_gather4`].
-    pub fn lut_gather4(lut: &[u8], codes: &[u8]) -> u32 {
-        assert_eq!(lut.len(), codes.len() * 16, "lut_gather4: lut/codes mismatch");
-        let mut sum = 0u32;
-        for (s, &c) in codes.iter().enumerate() {
-            sum += lut[s * 16 + (c & 15) as usize] as u32;
-        }
-        sum
-    }
-
-    /// Scalar 4-bit ADC block walk over a transposed panel. See
-    /// [`super::lut_gather4_block`].
-    pub fn lut_gather4_block(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
-        let m = lut.len() / 16;
-        let rows = out.len();
-        assert_eq!(codes_t.len(), m * rows, "lut_gather4_block: panel/rows mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut sum = 0u32;
-            for s in 0..m {
-                sum += lut[s * 16 + (codes_t[s * rows + r] & 15) as usize] as u32;
-            }
-            *o = sum;
         }
     }
 
@@ -1476,59 +1397,6 @@ mod x86 {
         }
     }
 
-    /// 4-bit ADC fast scan: per subspace the 16-entry table broadcasts to
-    /// both 128-bit lanes and one `pshufb` looks up 32 rows' nibbles at
-    /// once; 32-row strips accumulate `u16` partials (exact for m ≤ 256)
-    /// widened to `u32` at strip end.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lut_gather4_block_avx2(lut: &[u8], codes_t: &[u8], out: &mut [u32]) {
-        let m = lut.len() / 16;
-        let rows = out.len();
-        let split = rows - rows % 32;
-        let mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let pl = lut.as_ptr();
-        let pc = codes_t.as_ptr();
-        let mut r = 0;
-        while r < split {
-            let mut acc_lo = _mm256_setzero_si256();
-            let mut acc_hi = _mm256_setzero_si256();
-            for s in 0..m {
-                let table =
-                    _mm256_broadcastsi128_si256(_mm_loadu_si128(pl.add(s * 16) as *const __m128i));
-                let idx = _mm256_and_si256(
-                    _mm256_loadu_si256(pc.add(s * rows + r) as *const __m256i),
-                    mask,
-                );
-                let vals = _mm256_shuffle_epi8(table, idx);
-                acc_lo = _mm256_add_epi16(acc_lo, _mm256_unpacklo_epi8(vals, zero));
-                acc_hi = _mm256_add_epi16(acc_hi, _mm256_unpackhi_epi8(vals, zero));
-            }
-            // Undo the per-lane unpack interleave: within each 128-bit lane,
-            // unpacklo carried bytes 0–7 and unpackhi bytes 8–15, so lane 0
-            // covers rows r..r+16 and lane 1 rows r+16..r+32.
-            let mut lo = [0u16; 16];
-            let mut hi = [0u16; 16];
-            _mm256_storeu_si256(lo.as_mut_ptr() as *mut __m256i, acc_lo);
-            _mm256_storeu_si256(hi.as_mut_ptr() as *mut __m256i, acc_hi);
-            for j in 0..8 {
-                out[r + j] = lo[j] as u32;
-                out[r + 8 + j] = hi[j] as u32;
-                out[r + 16 + j] = lo[8 + j] as u32;
-                out[r + 24 + j] = hi[8 + j] as u32;
-            }
-            r += 32;
-        }
-        while r < rows {
-            let mut sum = 0u32;
-            for s in 0..m {
-                sum += *pl.add(s * 16 + (*pc.add(s * rows + r) & 15) as usize) as u32;
-            }
-            out[r] = sum;
-            r += 1;
-        }
-    }
-
     // ---- element-wise ---------------------------------------------------
 
     #[target_feature(enable = "avx2")]
@@ -2040,21 +1908,6 @@ mod tests {
                 lut_gather_rows(&lut, &store, &rows_idx, &mut got);
                 striped::lut_gather_rows(&lut, &store, &rows_idx, &mut want);
                 assert_eq!(got, want, "lut_gather_rows {name} m {m}");
-                let lut4: Vec<u8> = (0..m * 16).map(|i| (i * 29 + 3) as u8).collect();
-                let codes4: Vec<u8> = (0..m).map(|s| (s % 16) as u8).collect();
-                assert_eq!(
-                    lut_gather4(&lut4, &codes4),
-                    striped::lut_gather4(&lut4, &codes4),
-                    "lut_gather4 {name} m {m}"
-                );
-                for rows in [0usize, 1, 31, 32, 33, 80] {
-                    let codes_t: Vec<u8> = (0..m * rows).map(|i| (i % 16) as u8).collect();
-                    let mut got = vec![0u32; rows];
-                    let mut want = vec![0u32; rows];
-                    lut_gather4_block(&lut4, &codes_t, &mut got);
-                    striped::lut_gather4_block(&lut4, &codes_t, &mut want);
-                    assert_eq!(got, want, "lut_gather4_block {name} m {m} rows {rows}");
-                }
             }
             // gemm across shapes that exercise every tile edge: full 4×16
             // tiles, 8-wide remainders, scalar column tails, leftover rows,
@@ -2100,17 +1953,10 @@ mod tests {
         lut[256 + 200] = 5;
         assert_eq!(lut_gather(&lut, &[3, 200]), 15);
         assert_eq!(lut_gather(&[], &[]), 0);
-        let lut4: Vec<u8> = (0..32).collect();
-        assert_eq!(lut_gather4(&lut4, &[2, 3]), 2 + 16 + 3);
-        // High nibble bits of a 4-bit code are ignored.
-        assert_eq!(lut_gather4(&lut4, &[0xf2, 3]), 2 + 16 + 3);
-        // Block forms agree with the single-row forms.
+        // The block form agrees with the single-row form.
         let mut out = [0u32; 2];
         lut_gather_block(&lut, &[3, 200, 0, 0], &mut out);
         assert_eq!(out, [15, 0]);
-        let codes_t = [2, 0, 3, 1]; // transposed: subspace 0 rows, subspace 1 rows
-        lut_gather4_block(&lut4, &codes_t, &mut out);
-        assert_eq!(out, [2 + 16 + 3, 16 + 1]);
     }
 
     #[test]

@@ -37,10 +37,12 @@ impl Hasher for FxHasher {
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
+            // The zero-padded little-endian word of the tail, assembled
+            // byte by byte: short keys (trigrams, words) are all tail, and
+            // this avoids a variable-length copy.
+            let word = rem.iter().rev().fold(0u64, |acc, &b| (acc << 8) | b as u64);
             // Mix in the remainder length so "a" and "a\0" differ.
-            self.add_to_hash(u64::from_le_bytes(buf) ^ (rem.len() as u64));
+            self.add_to_hash(word ^ (rem.len() as u64));
         }
     }
 
@@ -115,6 +117,21 @@ mod tests {
     fn trailing_zero_bytes_change_hash() {
         assert_ne!(fx_hash_bytes(b"a"), fx_hash_bytes(b"a\0"));
         assert_ne!(fx_hash_bytes(b""), fx_hash_bytes(b"\0"));
+    }
+
+    #[test]
+    fn tail_word_is_zero_padded_little_endian() {
+        // Feature hashes feed every embedding and golden fixture; pin the
+        // zero-padded tail word for every remainder length.
+        for len in 1..8 {
+            let bytes = &b"\x01\x02\x03\x04\x05\x06\x07"[..len];
+            let mut buf = [0u8; 8];
+            buf[..len].copy_from_slice(bytes);
+            let mut h = FxHasher::default();
+            h.write(bytes);
+            let want = (u64::from_le_bytes(buf) ^ len as u64).wrapping_mul(SEED);
+            assert_eq!(h.state, want, "tail length {len}");
+        }
     }
 
     #[test]

@@ -17,8 +17,10 @@ pub mod template;
 pub use hash::{fx_hash_bytes, fx_hash_str, FxHasher};
 pub use keywords::{content_words, keyword_overlap, top_keywords};
 pub use lang::{detect_language, Language};
-pub use ngram::{char_ngrams, word_ngrams, word_shingle_hashes};
-pub use normalize::{collapse_whitespace, normalize_for_dedup, strip_punctuation};
+pub use ngram::{word_ngrams, word_shingle_hashes};
+pub use normalize::{
+    collapse_whitespace, normalize_for_dedup, normalize_for_dedup_into, strip_punctuation,
+};
 pub use similarity::{dice_coefficient, jaccard_words, levenshtein, normalized_levenshtein};
 pub use template::{Template, TemplateError};
 
@@ -29,20 +31,49 @@ pub use template::{Template, TemplateError};
 /// boundaries.
 pub fn words(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
+    for_each_word(text, |w| out.push(w.to_owned()));
+    out
+}
+
+/// Calls `f` with each word [`words`] would return, in order, without
+/// allocating per word: a word whose chars already lowercase to themselves
+/// is passed as a slice of `text`, and only a word that needs case folding
+/// is lowercased (char by char, as in [`words`]) into one reused buffer.
+pub fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
+    let mut folded = String::new();
+    let mut emit = |word: &str| {
+        if word.chars().all(lowercases_to_itself) {
+            f(word);
+        } else {
+            folded.clear();
+            folded.extend(word.chars().flat_map(char::to_lowercase));
+            f(&folded);
+        }
+    };
+    let mut start = None;
+    for (i, ch) in text.char_indices() {
+        match (ch.is_alphanumeric(), start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                emit(&text[s..i]);
+                start = None;
             }
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+            _ => {}
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
+    if let Some(s) = start {
+        emit(&text[s..]);
     }
-    out
+}
+
+/// True when `char::to_lowercase(c)` yields exactly `c`.
+#[inline]
+fn lowercases_to_itself(c: char) -> bool {
+    if c.is_ascii() {
+        return !c.is_ascii_uppercase();
+    }
+    let mut lower = c.to_lowercase();
+    lower.next() == Some(c) && lower.next().is_none()
 }
 
 #[cfg(test)]
@@ -68,5 +99,17 @@ mod tests {
     #[test]
     fn words_handles_unicode() {
         assert_eq!(words("Grüße an alle"), vec!["grüße", "an", "alle"]);
+    }
+
+    #[test]
+    fn for_each_word_matches_words() {
+        for text in ["", "Hello, World!", "ΟΔΟΣ ΣΑΣ", "İstanbul x", "a1 B2\tc3", "雪 界🙂é"]
+        {
+            let mut got = Vec::new();
+            for_each_word(text, |w| got.push(w.to_owned()));
+            assert_eq!(got, words(text), "{text:?}");
+        }
+        // Per-char folding, not str::to_lowercase: no final-sigma rule here.
+        assert_eq!(words("ΟΔΟΣ"), vec!["οδοσ"]);
     }
 }

@@ -1,26 +1,11 @@
-//! N-gram extraction over characters and words.
+//! Word n-gram extraction.
 //!
-//! Character n-grams feed the hashing embedder in `pas-embed`; word shingles
-//! feed near-duplicate detection. Both operate on the canonical word stream
-//! from [`crate::words`] so the representations line up across crates.
+//! Word shingles feed near-duplicate detection. They operate on the
+//! canonical word stream from [`crate::words`] so the representations line
+//! up across crates.
 
 use crate::hash::{fx_combine, fx_hash_str};
 use crate::words;
-
-/// Returns the character `n`-grams of `text` (over the raw char stream,
-/// including spaces). Returns the whole text as a single gram when it is
-/// shorter than `n`.
-pub fn char_ngrams(text: &str, n: usize) -> Vec<String> {
-    assert!(n > 0, "n-gram size must be positive");
-    let chars: Vec<char> = text.chars().collect();
-    if chars.is_empty() {
-        return Vec::new();
-    }
-    if chars.len() <= n {
-        return vec![chars.iter().collect()];
-    }
-    (0..=chars.len() - n).map(|i| chars[i..i + n].iter().collect()).collect()
-}
 
 /// Returns the word `n`-grams of `text`, joined with single spaces.
 pub fn word_ngrams(text: &str, n: usize) -> Vec<String> {
@@ -59,17 +44,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn char_ngrams_basic() {
-        assert_eq!(char_ngrams("abcd", 2), vec!["ab", "bc", "cd"]);
-    }
-
-    #[test]
-    fn char_ngrams_short_input_returns_whole() {
-        assert_eq!(char_ngrams("ab", 3), vec!["ab"]);
-        assert!(char_ngrams("", 3).is_empty());
-    }
-
-    #[test]
     fn word_ngrams_basic() {
         assert_eq!(
             word_ngrams("the quick brown fox", 2),
@@ -95,7 +69,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_n_panics() {
-        char_ngrams("abc", 0);
+        word_ngrams("abc", 0);
     }
 
     #[test]

@@ -33,9 +33,52 @@ pub fn strip_punctuation(text: &str) -> String {
 }
 
 /// Full canonical form used as the dedup key: lowercase, punctuation-free,
-/// whitespace-collapsed.
+/// whitespace-collapsed. Equal to
+/// `collapse_whitespace(&strip_punctuation(&text.to_lowercase()))`, built in
+/// one pass by [`normalize_for_dedup_into`].
 pub fn normalize_for_dedup(text: &str) -> String {
-    collapse_whitespace(&strip_punctuation(&text.to_lowercase()))
+    let mut out = String::with_capacity(text.len());
+    normalize_for_dedup_into(text, &mut out);
+    out
+}
+
+/// Writes the canonical form of `text` (see [`normalize_for_dedup`]) into
+/// `out`, replacing its contents. Lowercasing, punctuation stripping and
+/// whitespace collapsing run as one pass over the chars, so a caller that
+/// reuses `out` normalizes without allocating.
+///
+/// `'Σ'` is the one char whose lowercase depends on its neighbours (the
+/// final-sigma rule of `str::to_lowercase`); a text containing it is
+/// lowercased by `str::to_lowercase` first, so the rule is std's own.
+pub fn normalize_for_dedup_into(text: &str, out: &mut String) {
+    out.clear();
+    // After `strip_punctuation` every char is alphanumeric or whitespace,
+    // so any non-alphanumeric char only marks a pending word gap; the gap
+    // is written when the next word starts, which drops leading and
+    // trailing runs exactly as `collapse_whitespace` does.
+    let mut gap = false;
+    let mut push = |c: char| {
+        if c.is_alphanumeric() {
+            if gap && !out.is_empty() {
+                out.push(' ');
+            }
+            gap = false;
+            out.push(c);
+        } else {
+            gap = true;
+        }
+    };
+    if text.contains('Σ') {
+        text.to_lowercase().chars().for_each(push);
+    } else {
+        for ch in text.chars() {
+            if ch.is_ascii() {
+                push(ch.to_ascii_lowercase());
+            } else {
+                ch.to_lowercase().for_each(&mut push);
+            }
+        }
+    }
 }
 
 /// Truncates a string to at most `max_chars` characters on a char boundary,
@@ -75,6 +118,20 @@ mod tests {
         let n2 = normalize_for_dedup(&n1);
         assert_eq!(n1, n2);
         assert_eq!(n1, "how do i sort a vec");
+    }
+
+    #[test]
+    fn normalize_keeps_the_final_sigma_rule() {
+        assert_eq!(normalize_for_dedup("ΟΔΟΣ ΣΑΣ"), "οδος σας");
+    }
+
+    #[test]
+    fn normalize_into_reuses_the_buffer() {
+        let mut buf = String::from("stale contents");
+        normalize_for_dedup_into("  Hello,\tWORLD ", &mut buf);
+        assert_eq!(buf, "hello world");
+        normalize_for_dedup_into("", &mut buf);
+        assert_eq!(buf, "");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use pas_text::normalize::normalize_for_dedup;
 use pas_text::{
     collapse_whitespace, dice_coefficient, fx_hash_str, jaccard_words, levenshtein,
-    normalized_levenshtein, words,
+    normalized_levenshtein, strip_punctuation, words,
 };
 
 proptest! {
@@ -13,6 +13,17 @@ proptest! {
     fn normalize_is_idempotent(s in ".{0,200}") {
         let once = normalize_for_dedup(&s);
         prop_assert_eq!(normalize_for_dedup(&once), once);
+    }
+
+    #[test]
+    fn normalize_is_the_three_pass_composition(
+        s in "[a-zA-Z0-9ΣσςΑİıé雪 \t\n.,!?'-]{0,60}",
+        t in ".{0,120}",
+    ) {
+        for text in [&s, &t] {
+            let composed = collapse_whitespace(&strip_punctuation(&text.to_lowercase()));
+            prop_assert_eq!(normalize_for_dedup(text), composed);
+        }
     }
 
     #[test]
